@@ -14,59 +14,26 @@ import (
 )
 
 // ErrAgreementViolation is wrapped into the error Commit returns when the
-// cross-member agreement check fails — the one error callers may want to
+// cross-peer agreement check fails — the one error callers may want to
 // tell apart (errors.Is), e.g. to keep a measurement run going while the
 // auditor records the violation.
 var ErrAgreementViolation = errors.New("commit: agreement violation")
 
-// retiredHistory is how many recently-finished transaction IDs each member
-// remembers so that straggler messages (a helper reply landing after the
-// decision, a retransmission racing the cleanup) are dropped instead of
-// accumulating forever in the pending buffer.
-const retiredHistory = 4096
-
-// boundedSet remembers the most recent retiredHistory ids, evicting FIFO:
-// the shared idiom behind straggler dropping (member.decided) and
-// txID-reuse rejection (Cluster.finished). Callers synchronize access.
-type boundedSet struct {
-	m     map[string]struct{}
-	order []string
-}
-
-func newBoundedSet() *boundedSet { return &boundedSet{m: make(map[string]struct{})} }
-
-func (s *boundedSet) has(id string) bool {
-	_, ok := s.m[id]
-	return ok
-}
-
-// add inserts id, evicting the oldest entry beyond retiredHistory.
-// Idempotent.
-func (s *boundedSet) add(id string) {
-	if s.has(id) {
-		return
-	}
-	s.m[id] = struct{}{}
-	s.order = append(s.order, id)
-	if len(s.order) > retiredHistory {
-		delete(s.m, s.order[0])
-		s.order = s.order[1:]
-	}
-}
-
 // Cluster runs n participants in one address space over an in-memory
-// network. It is the quickest way to use the library and the substrate of
-// the examples. Commit runs one protocol instance synchronously; Submit and
-// CommitMany run many concurrently through the pipeline (see pipeline.go).
+// network: n Peers on one live.Mesh, the same participant runtime a TCP
+// deployment runs. It is the quickest way to use the library and the
+// substrate of the examples. Commit runs one protocol instance
+// synchronously; Submit and CommitMany run many concurrently through the
+// pipeline (see pipeline.go).
 type Cluster struct {
 	opts      Options
 	resources []Resource
 	mesh      *live.Mesh
+	peers     []*Peer // peers[i] votes through resources[i].Prepare
 
-	mu      sync.Mutex
-	members []*member
-	closed  bool
-	seq     int
+	mu     sync.Mutex
+	closed bool
+	seq    int
 
 	// txID bookkeeping for the documented reuse rule: an ID may not be
 	// resubmitted while it is in flight, nor after it decided (instances are
@@ -81,16 +48,6 @@ type Cluster struct {
 	qcond       *sync.Cond
 	dispatching bool
 	stop        chan struct{}
-}
-
-type member struct {
-	id core.ProcessID
-	tr live.Transport
-
-	mu        sync.Mutex
-	instances map[string]*live.Instance
-	pending   map[string][]live.Envelope
-	decided   *boundedSet // recently retired txIDs: stragglers are dropped
 }
 
 // NewCluster builds a cluster with one participant per resource.
@@ -110,16 +67,16 @@ func NewCluster(resources []Resource, opts Options) (*Cluster, error) {
 		c.mesh.Drop = sh.Drop
 	}
 	c.qcond = sync.NewCond(&c.mu)
-	for i := 1; i <= n; i++ {
-		m := &member{
-			id:        core.ProcessID(i),
-			tr:        c.mesh.Endpoint(core.ProcessID(i)),
-			instances: make(map[string]*live.Instance),
-			pending:   make(map[string][]live.Envelope),
-			decided:   newBoundedSet(),
+	for i, r := range resources {
+		if r == nil {
+			return nil, fmt.Errorf("%w (participant %d)", ErrNilResource, i+1)
 		}
-		m.tr.SetHandler(m.deliver)
-		c.members = append(c.members, m)
+		// The peer only votes: the runner settles every transaction
+		// (finish).
+		id := core.ProcessID(i + 1)
+		p := newPeer(id, n, c.mesh.Endpoint(id), ResourceFunc{PrepareFn: r.Prepare}, opts)
+		p.owned = true
+		c.peers = append(c.peers, p)
 	}
 	return c, nil
 }
@@ -128,49 +85,15 @@ func NewCluster(resources []Resource, opts Options) (*Cluster, error) {
 // tests and demos.
 func (c *Cluster) Mesh() *live.Mesh { return c.mesh }
 
-func (m *member) deliver(e live.Envelope) {
-	m.mu.Lock()
-	inst, ok := m.instances[e.TxID]
-	if !ok {
-		if m.decided.has(e.TxID) {
-			// Straggler for a finished transaction (e.g. a helper reply
-			// arriving after the decision): drop it, or it would sit in
-			// pending forever.
-			m.mu.Unlock()
-			return
-		}
-		// The instance for this transaction does not exist yet (the runner
-		// is still wiring members up); buffer — perfect links do not lose
-		// messages.
-		m.pending[e.TxID] = append(m.pending[e.TxID], e)
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Unlock()
-	inst.Deliver(e)
-}
-
-// retire forgets a finished transaction: the instance, any buffered
-// stragglers, and — bounded by retiredHistory — remembers the txID so later
-// stragglers are dropped rather than re-buffered.
-func (m *member) retire(txID string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.instances, txID)
-	delete(m.pending, txID)
-	m.decided.add(txID)
-}
-
-// txnRun is one transaction's lifecycle across every member: instance
-// creation, spontaneous start, pending flush, decision gather, and resource
-// callbacks. Commit runs one synchronously; the pipeline dispatcher runs
+// txnRun is one transaction's lifecycle across every peer: spontaneous
+// start, decision gather, agreement check, resource callbacks and
+// retirement. Commit runs one synchronously; the pipeline dispatcher runs
 // many concurrently.
 type txnRun struct {
-	c      *Cluster
-	txID   string
-	insts  []*live.Instance
-	begun  time.Time
-	allYes bool // every resource voted commit (abort-reason attribution)
+	c     *Cluster
+	txID  string
+	insts []*live.Instance
+	begun time.Time
 }
 
 // reserveTxID allocates a fresh transaction ID when the caller passed ""
@@ -220,96 +143,67 @@ func (c *Cluster) markFinished(txID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.inflight, txID)
-	c.finished.add(txID)
+	c.finished.add(txID, core.Commit) // the value is unused: membership is the rule
 }
 
-// begin creates and spontaneously starts an instance of txID on every
-// member, collecting votes via Prepare and flushing any messages that
-// raced ahead.
+// begin starts txID's instance on every peer directly, with no begin
+// envelope: the paper's spontaneous start (footnote 13). Each peer votes
+// through its resource's Prepare; a peer that a protocol message reached
+// first already runs the instance, and begin joins it.
 func (c *Cluster) begin(txID string) (*txnRun, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
 		return nil, fmt.Errorf("commit: cluster closed")
 	}
-	members := c.members
-	c.mu.Unlock()
-
-	n := len(members)
-	factory := c.opts.factory()
-
-	// Phase 1: create every instance (so no message can race a missing
-	// instance), collecting the votes via Prepare.
-	votes := make([]core.Value, n)
-	insts := make([]*live.Instance, n)
-	allYes := true
-	for i, m := range members {
-		votes[i] = core.Abort
-		if c.resources[i].Prepare(txID) {
-			votes[i] = core.Commit
-		} else {
-			allYes = false
+	r := &txnRun{c: c, txID: txID, insts: make([]*live.Instance, len(c.peers))}
+	for i, p := range c.peers {
+		run := p.ensureInstance(txID)
+		if run == nil {
+			return nil, fmt.Errorf("commit: cluster closed")
 		}
-		inst := live.NewInstance(live.Config{
-			ID: m.id, N: n, F: c.opts.F, U: c.opts.ticks(), TxID: txID,
-			Label: string(c.opts.Protocol),
-			New:   factory,
-			Send:  m.tr.Send,
-		})
-		insts[i] = inst
-		m.mu.Lock()
-		m.instances[txID] = inst
-		m.mu.Unlock()
+		r.insts[i] = run.Instance
 	}
-
-	// Phase 2: spontaneous start (the paper's footnote-13 convention),
-	// then flush anything that arrived early.
-	for i, m := range members {
-		inst := insts[i]
-		inst.Start(votes[i])
-		m.mu.Lock()
-		pend := m.pending[txID]
-		delete(m.pending, txID)
-		m.mu.Unlock()
-		for _, e := range pend {
-			inst.Deliver(e)
-		}
-	}
-	return &txnRun{c: c, txID: txID, insts: insts, begun: time.Now(), allYes: allYes}, nil
+	r.begun = time.Now()
+	return r, nil
 }
 
-// finish gathers every member's decision, applies the resource callbacks,
-// and retires the instances. Every member is waited for before the
-// cross-member agreement check runs, so a violation dump holds the full
-// decision vector (and every member's decide event is in the flight
-// recorder) rather than stopping at the first mismatching pair.
+// finish gathers every peer's decision, applies the resource callbacks, and
+// retires the instances. Every peer is waited for before the cross-peer
+// agreement check runs, so a violation dump holds the full decision vector
+// (and every peer's decide event is in the flight recorder) rather than
+// stopping at the first mismatching pair.
 func (r *txnRun) finish(ctx context.Context) (bool, error) {
+	vals := make([]core.Value, len(r.insts))
 	defer func() {
-		for i, m := range r.c.members {
+		// An undecided peer (the run failed) is remembered as aborted: a
+		// late envelope must not resurrect its instance.
+		for i, p := range r.c.peers {
 			r.insts[i].Close()
-			m.retire(r.txID)
+			p.retire(r.txID, vals[i])
 		}
 		r.c.markFinished(r.txID)
 	}()
 
 	proto := string(r.c.opts.Protocol)
-	vals := make([]core.Value, len(r.insts))
-	for i := range r.c.members {
+	for i, p := range r.c.peers {
 		v, err := r.insts[i].Wait(ctx)
 		if err != nil {
 			obs.M.Counter("commit.abort.infra." + proto).Add(1)
-			// An infra abort means this member never decided within its
+			// An infra abort means this peer never decided within its
 			// deadline: tell the auditor so the transaction is audited
 			// under a failure class, not failure-free.
 			if a := obs.ActiveAuditor(); a != nil {
-				a.Suspect(r.txID, r.c.members[i].id, err.Error())
+				a.Suspect(r.txID, p.id, err.Error())
 			}
 			return false, err
 		}
 		vals[i] = v
 	}
 	first := vals[0]
-	for _, v := range vals[1:] {
+	allYes := true // every resource voted commit (abort-reason attribution)
+	for i, v := range vals {
 		if v != first {
 			// Cannot happen for protocols whose contract includes
 			// agreement in the executions the deployment can produce;
@@ -319,9 +213,10 @@ func (r *txnRun) finish(ctx context.Context) (bool, error) {
 			obs.ReportAnomaly("cluster-agreement-violation", r.txID, detail)
 			return false, fmt.Errorf("%w on %s: %s", ErrAgreementViolation, r.txID, detail)
 		}
+		allYes = allYes && r.insts[i].Vote() == core.Commit
 	}
 
-	// Latency by protocol and decide path (the initiating member's path;
+	// Latency by protocol and decide path (the initiating peer's path;
 	// "" for protocols that do not annotate one).
 	path := r.insts[0].DecidePath()
 	if path == "" {
@@ -330,7 +225,7 @@ func (r *txnRun) finish(ctx context.Context) (bool, error) {
 	obs.M.Histogram("commit.latency_ns." + proto + "." + path).Record(int64(time.Since(r.begun)))
 	if first == core.Commit {
 		obs.M.Counter("commit.committed." + proto).Add(1)
-	} else if r.allYes {
+	} else if allYes {
 		// All resources voted yes, yet the decision is abort: an indulgent
 		// protocol's legal reaction to a violated timing bound.
 		obs.M.Counter("commit.abort.timing." + proto).Add(1)
@@ -339,17 +234,17 @@ func (r *txnRun) finish(ctx context.Context) (bool, error) {
 		obs.M.Counter("commit.abort.vote." + proto).Add(1)
 	}
 
-	for i := range r.c.members {
+	for _, res := range r.c.resources {
 		if first == core.Commit {
-			r.c.resources[i].Commit(r.txID)
+			res.Commit(r.txID)
 		} else {
-			r.c.resources[i].Abort(r.txID)
+			res.Abort(r.txID)
 		}
 	}
 	return first == core.Commit, nil
 }
 
-// decisionVector renders every member's decision and decide path, the
+// decisionVector renders every peer's decision and decide path, the
 // anomaly detail line of an agreement violation:
 // "P1=commit(fast) P2=abort(consensus) ...".
 func (r *txnRun) decisionVector(vals []core.Value) string {
@@ -362,7 +257,7 @@ func (r *txnRun) decisionVector(vals []core.Value) string {
 		if path == "" {
 			path = "?"
 		}
-		fmt.Fprintf(&b, "%s=%s(%s)", r.c.members[i].id, v, path)
+		fmt.Fprintf(&b, "%s=%s(%s)", r.c.peers[i].id, v, path)
 	}
 	return b.String()
 }
@@ -403,9 +298,8 @@ func (c *Cluster) Close() {
 	c.closed = true
 	close(c.stop)
 	c.qcond.Broadcast()
-	members := c.members
 	c.mu.Unlock()
-	for _, m := range members {
-		m.tr.Close()
+	for _, p := range c.peers {
+		p.Close()
 	}
 }

@@ -7,11 +7,11 @@
 //
 // Three ways to use it:
 //
-//   - Cluster: n participants in one address space over an in-memory
-//     network — the quickest way to commit transactions or to demonstrate
-//     protocol behavior under injected failures.
+//   - Cluster: n participants (n Peers) in one address space over an
+//     in-memory network — the quickest way to commit transactions or to
+//     demonstrate protocol behavior under injected failures.
 //   - Peer: one participant per address space over TCP — a real deployment
-//     shape.
+//     shape, and the one participant runtime both shapes run.
 //   - Simulate: deterministic executions on the discrete-event simulator
 //     with exact message/delay measurements — the paper's complexity
 //     tables live here.

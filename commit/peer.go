@@ -16,12 +16,55 @@ import (
 )
 
 // retireGraceUnits is how many timeout units a peer keeps a decided
-// instance alive before retiring it. Unlike a Cluster (which observes every
-// member's decision), a peer only knows its own, and other peers may still
-// need its help to terminate (helper/termination messages). After the
-// grace, a straggler sees this peer as crashed for that instance — the
-// failure model the protocols already tolerate.
+// instance alive before retiring it. A peer on its own only knows its own
+// decision, and other peers may still need its help to terminate
+// (helper/termination messages). After the grace, a straggler sees this
+// peer as crashed for that instance — the failure model the protocols
+// already tolerate. A Cluster, which sees every decision, retires its peers'
+// instances as soon as all n have decided.
 const retireGraceUnits = 8
+
+// retiredHistory is how many recently retired transaction IDs a peer
+// remembers (with their outcomes) so that straggler messages (a helper reply
+// landing after the decision, a retransmission racing the cleanup) are
+// dropped instead of resurrecting an instance, and Wait replays still
+// answer. A Cluster remembers as many finished IDs for its reuse rule.
+const retiredHistory = 4096
+
+// boundedSet remembers the most recent retiredHistory ids, each with a
+// value, evicting FIFO: the one idiom behind straggler dropping and outcome
+// replay (Peer.decided) and txID-reuse rejection (Cluster.finished).
+// Callers synchronize access.
+type boundedSet struct {
+	m     map[string]core.Value
+	order []string
+}
+
+func newBoundedSet() *boundedSet { return &boundedSet{m: make(map[string]core.Value)} }
+
+func (s *boundedSet) get(id string) (core.Value, bool) {
+	v, ok := s.m[id]
+	return v, ok
+}
+
+func (s *boundedSet) has(id string) bool {
+	_, ok := s.m[id]
+	return ok
+}
+
+// add inserts id with value v, evicting the oldest entry beyond
+// retiredHistory. Idempotent: the first value sticks.
+func (s *boundedSet) add(id string, v core.Value) {
+	if s.has(id) {
+		return
+	}
+	s.m[id] = v
+	s.order = append(s.order, id)
+	if len(s.order) > retiredHistory {
+		delete(s.m, s.order[0])
+		s.order = s.order[1:]
+	}
+}
 
 // stageTTLUnits bounds how long a staged-but-never-begun transaction may
 // hold its footprint (intents, staged writes) on a hosted resource: if the
@@ -71,8 +114,9 @@ func (beginMsg) UnmarshalWire(d *wire.Decoder) (core.Message, error) {
 }
 
 // decidePath is the reserved envelope path carrying a peer's decision to the
-// others, so every peer can cross-check agreement (a Cluster sees all member
-// decisions in one address space; peers otherwise only know their own).
+// others' auditors. It is sent only while an auditor is installed, so
+// observability never spends the protocol's message budget; the auditor's
+// agreement predicate is the cross-check.
 const decidePath = "\x00decide"
 
 // decideMsg announces that From decided V for Envelope.TxID.
@@ -248,29 +292,34 @@ func init() {
 	live.RegisterWire(unstageMsg{})
 }
 
-// Peer is one participant in its own address space, connected to the others
-// over TCP: the realistic deployment shape. Any peer may initiate a
-// transaction with Commit; the other peers vote via their Resource and apply
-// the outcome via its callbacks.
+// Peer is one participant of the commit protocol: the library's one
+// participant runtime. NewPeer puts it in its own address space, connected
+// to the others over TCP: the realistic deployment shape. A Cluster is n
+// peers on an in-memory mesh. Any peer may initiate a transaction with
+// Commit; the other peers vote via their Resource and apply the outcome via
+// its callbacks.
 type Peer struct {
-	id   core.ProcessID
-	n    int
-	opts Options
-	res  Resource
-	tcp  *live.TCP
+	id        core.ProcessID
+	n         int
+	opts      Options
+	newModule func(core.ProcessID) core.Module // opts.factory(), built once
+	res       Resource
+	tr        live.Transport
 
-	mu        sync.Mutex
-	instances map[string]*live.Instance
-	pending   map[string][]live.Envelope
-	started   map[string]bool
-	decided   map[string]core.Value // outcomes of retired transactions
-	retired   []string              // FIFO eviction order for decided
+	mu sync.Mutex
+	// instances holds every live run, registered before its Prepare runs:
+	// a concurrent caller finds it and waits on it, and the Instance
+	// buffers deliveries that arrive before Start.
+	instances map[string]*peerRun
+	decided   *boundedSet // outcomes of retired transactions
 	closed    bool
 
-	// Decision cross-checking (see decideMsg): reports holds peer decisions
-	// that arrived before our own decision landed, FIFO-bounded like decided.
-	reports     map[string][]peerReport
-	reportOrder []string
+	// owned hands settling to the peer's owner: a Cluster's runner sees
+	// every decision, applies the outcome once all n agree, and retires
+	// the instances then, never while another peer may still need their
+	// help. Its peers share one process and one auditor, so they have no
+	// decision to announce either.
+	owned bool
 
 	// Hosting mode (res implements HostedResource): staged remembers
 	// transactions whose footprint arrived but whose protocol run has not,
@@ -280,10 +329,12 @@ type Peer struct {
 	debug *http.Server // optional observability endpoint (ServeDebug)
 }
 
-// peerReport is one remote decision awaiting our local one.
-type peerReport struct {
-	from core.ProcessID
-	v    core.Value
+// peerRun is this peer's run of one transaction: the protocol instance,
+// and a signal closed once settle has applied the outcome to the resource
+// (never, on an owned peer, whose owner applies it).
+type peerRun struct {
+	*live.Instance
+	settled chan struct{}
 }
 
 // NewPeer starts participant id (1-based); addrs[i-1] is Pi's address, and
@@ -311,17 +362,20 @@ func NewPeer(id int, addrs []string, resource Resource, opts Options) (*Peer, er
 	if opts.Net != nil {
 		tcp.SetShaper(opts.Net.Shaper(time.Now()))
 	}
+	return newPeer(core.ProcessID(id), len(addrs), tcp, resource, opts), nil
+}
+
+// newPeer builds participant id of n over any transport; opts must already
+// carry its defaults.
+func newPeer(id core.ProcessID, n int, tr live.Transport, res Resource, opts Options) *Peer {
 	p := &Peer{
-		id: core.ProcessID(id), n: len(addrs), opts: opts, res: resource, tcp: tcp,
-		instances: make(map[string]*live.Instance),
-		pending:   make(map[string][]live.Envelope),
-		started:   make(map[string]bool),
-		decided:   make(map[string]core.Value),
-		reports:   make(map[string][]peerReport),
+		id: id, n: n, opts: opts, newModule: opts.factory(), res: res, tr: tr,
+		instances: make(map[string]*peerRun),
+		decided:   newBoundedSet(),
 		staged:    make(map[string]struct{}),
 	}
-	tcp.SetHandler(p.deliver)
-	return p, nil
+	tr.SetHandler(p.deliver)
+	return p
 }
 
 // validateAddrs rejects empty and duplicated peer addresses up front — both
@@ -342,22 +396,26 @@ func validateAddrs(addrs []string) error {
 }
 
 // Addr returns the peer's bound listen address.
-func (p *Peer) Addr() string { return p.tcp.Addr() }
+func (p *Peer) Addr() string { return p.tr.(*live.TCP).Addr() }
 
 func (p *Peer) deliver(e live.Envelope) {
 	switch e.Path {
 	case decidePath:
-		// Decision announcements are cross-checked even for transactions we
-		// already retired: the cached outcome still answers.
+		// A remote decision, announced because an auditor is installed: it
+		// completes this process's auditor's decision vector.
 		if m, ok := e.Msg.(decideMsg); ok {
-			p.observeDecision(e.From, e.TxID, m.V)
+			if a := obs.ActiveAuditor(); a != nil {
+				a.Decide(e.TxID, e.From, m.V, "")
+			}
 		}
 		return
 	case helloPath:
 		// A client announcing its reply route (possibly refreshing it after
 		// a restart on a new port).
 		if m, ok := e.Msg.(helloMsg); ok {
-			p.tcp.SetRoute(e.From, m.Addr)
+			if tcp, ok := p.tr.(*live.TCP); ok {
+				tcp.SetRoute(e.From, m.Addr)
+			}
 		}
 		return
 	case stagePath:
@@ -378,30 +436,14 @@ func (p *Peer) deliver(e live.Envelope) {
 		p.handleUnstage(e)
 		return
 	}
-	p.mu.Lock()
-	if _, done := p.decided[e.TxID]; done {
-		// Straggler for a retired transaction: drop it, or it would sit
-		// in pending forever.
-		p.mu.Unlock()
-		return
+	// A begin, or a protocol message, which also implies the transaction
+	// exists: start our instance if it is not running yet (its vote comes
+	// from our Resource). A straggler for a retired transaction finds no
+	// instance and is dropped.
+	run := p.ensureInstance(e.TxID)
+	if run != nil && e.Path != beginPath {
+		run.Deliver(e)
 	}
-	if e.Path == beginPath {
-		p.mu.Unlock()
-		p.ensureInstance(e.TxID)
-		return
-	}
-	inst, ok := p.instances[e.TxID]
-	if !ok {
-		p.pending[e.TxID] = append(p.pending[e.TxID], e)
-		p.mu.Unlock()
-		// A protocol message for an unannounced transaction also implies
-		// the transaction exists: start our instance (its vote comes from
-		// our Resource).
-		p.ensureInstance(e.TxID)
-		return
-	}
-	p.mu.Unlock()
-	inst.Deliver(e)
 }
 
 // handleStage hands a remote client's footprint to the hosted resource and
@@ -414,8 +456,8 @@ func (p *Peer) handleStage(e live.Envelope) {
 		ack.Err = "peer does not host a stageable resource"
 	} else {
 		p.mu.Lock()
-		_, done := p.decided[e.TxID]
-		started := p.started[e.TxID]
+		_, started := p.instances[e.TxID]
+		done := p.decided.has(e.TxID)
 		closed := p.closed
 		p.mu.Unlock()
 		switch {
@@ -435,7 +477,7 @@ func (p *Peer) handleStage(e live.Envelope) {
 			}
 		}
 	}
-	_ = p.tcp.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: stageAckPath, Msg: ack})
+	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: stageAckPath, Msg: ack})
 }
 
 // handleGo coordinates the commit of a client's transaction and reports the
@@ -453,7 +495,7 @@ func (p *Peer) handleGo(e live.Envelope) {
 	if err != nil {
 		res.Err = err.Error()
 	}
-	_ = p.tcp.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: resultPath, Msg: res})
+	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: resultPath, Msg: res})
 }
 
 // handleStageGo is handleStage and handleGo collapsed into one leg: stage
@@ -472,7 +514,7 @@ func (p *Peer) handleStageGo(e live.Envelope) {
 	if len(m.Fp) > 0 {
 		hosted, isHosted := p.res.(HostedResource)
 		refuse := func(msg string) {
-			_ = p.tcp.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From,
+			_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From,
 				Path: resultPath, Msg: resultMsg{V: core.Abort, Err: msg}})
 		}
 		if !isHosted {
@@ -480,8 +522,8 @@ func (p *Peer) handleStageGo(e live.Envelope) {
 			return
 		}
 		p.mu.Lock()
-		_, done := p.decided[e.TxID]
-		started := p.started[e.TxID]
+		_, started := p.instances[e.TxID]
+		done := p.decided.has(e.TxID)
 		closed := p.closed
 		p.mu.Unlock()
 		switch {
@@ -521,7 +563,7 @@ func (p *Peer) handleQuery(e live.Envelope) {
 	if err != nil || reply == nil {
 		return
 	}
-	_ = p.tcp.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: queryReplyPath, Msg: reply})
+	_ = p.tr.Send(live.Envelope{TxID: e.TxID, From: p.id, To: e.From, Path: queryReplyPath, Msg: reply})
 }
 
 // handleUnstage drops a staged transaction on the client's request (a
@@ -544,71 +586,52 @@ func (p *Peer) reclaimStage(txID string) {
 // protocol instance started or decided: the protocol owns the outcome then.
 func (p *Peer) dropStage(txID string) {
 	p.mu.Lock()
-	if _, ok := p.staged[txID]; !ok {
-		p.mu.Unlock()
-		return
-	}
+	_, staged := p.staged[txID]
 	delete(p.staged, txID)
-	if p.started[txID] {
+	_, started := p.instances[txID]
+	if !staged || started || p.decided.has(txID) {
 		p.mu.Unlock()
 		return
 	}
-	if _, done := p.decided[txID]; done {
-		p.mu.Unlock()
-		return
-	}
-	p.decided[txID] = core.Abort
-	p.retired = append(p.retired, txID)
-	if len(p.retired) > retiredHistory {
-		delete(p.decided, p.retired[0])
-		p.retired = p.retired[1:]
-	}
+	p.decided.add(txID, core.Abort)
 	p.mu.Unlock()
 	p.res.Abort(txID)
 }
 
-// retire forgets a decided transaction's instance and buffered stragglers,
-// remembering its outcome (bounded by retiredHistory) so late messages are
-// dropped and Wait/Commit replays still answer from the cache.
+// retire forgets a decided transaction's instance, remembering its outcome
+// (bounded by retiredHistory) so late messages are dropped and Wait/Commit
+// replays still answer from the cache.
 func (p *Peer) retire(txID string, v core.Value) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	delete(p.instances, txID)
-	delete(p.pending, txID)
-	delete(p.started, txID)
 	delete(p.staged, txID)
-	if _, ok := p.decided[txID]; ok {
-		return
-	}
-	p.decided[txID] = v
-	p.retired = append(p.retired, txID)
-	if len(p.retired) > retiredHistory {
-		delete(p.decided, p.retired[0])
-		p.retired = p.retired[1:]
-	}
+	p.decided.add(txID, v)
 }
 
-// ensureInstance creates and starts the local instance for txID once,
-// voting via the Resource, then flushes buffered messages.
-func (p *Peer) ensureInstance(txID string) *live.Instance {
+// ensureInstance returns the local run of txID, creating and starting its
+// instance (voting via the Resource) on first use. It returns nil once the
+// peer closed or the transaction retired.
+func (p *Peer) ensureInstance(txID string) *peerRun {
 	p.mu.Lock()
-	if p.closed {
+	if p.closed || p.decided.has(txID) {
 		p.mu.Unlock()
 		return nil
 	}
-	if _, ok := p.decided[txID]; ok {
+	if run, ok := p.instances[txID]; ok {
 		p.mu.Unlock()
-		return nil // already decided and retired; the cache answers
+		return run
 	}
-	if inst, ok := p.instances[txID]; ok {
-		p.mu.Unlock()
-		return inst
+	run := &peerRun{
+		Instance: live.NewInstance(live.Config{
+			ID: p.id, N: p.n, F: p.opts.F, U: p.opts.ticks(), TxID: txID,
+			Label: string(p.opts.Protocol),
+			New:   p.newModule,
+			Send:  p.tr.Send,
+		}),
+		settled: make(chan struct{}),
 	}
-	if p.started[txID] {
-		p.mu.Unlock()
-		return nil
-	}
-	p.started[txID] = true
+	p.instances[txID] = run
 	delete(p.staged, txID) // the protocol owns the footprint's fate now
 	p.mu.Unlock()
 
@@ -617,105 +640,40 @@ func (p *Peer) ensureInstance(txID string) *live.Instance {
 	if p.res.Prepare(txID) {
 		vote = core.Commit
 	}
-	inst := live.NewInstance(live.Config{
-		ID: p.id, N: p.n, F: p.opts.F, U: p.opts.ticks(), TxID: txID,
-		Label: string(p.opts.Protocol),
-		New:   p.opts.factory(),
-		Send:  p.tcp.Send,
-	})
-
-	p.mu.Lock()
-	p.instances[txID] = inst
-	pend := p.pending[txID]
-	delete(p.pending, txID)
-	p.mu.Unlock()
-
-	inst.Start(vote)
-	for _, e := range pend {
-		inst.Deliver(e)
+	run.Start(vote)
+	if !p.owned {
+		go p.settle(txID, run)
 	}
-	// Apply the outcome to the resource when the decision lands, then —
-	// after a grace period for peers that still need this instance's
-	// termination help — retire it so per-transaction state stays bounded.
-	go func() {
-		<-inst.Done()
-		v := inst.Outcome()
-		// Announce our decision so every peer can cross-check agreement,
-		// and check any remote decisions that arrived before ours landed.
+	return run
+}
+
+// settle applies the outcome to the resource when the decision lands, then
+// — after a grace period for peers that still need this instance's
+// termination help — retires it so per-transaction state stays bounded.
+// Under audit it first announces the decision to the other peers' auditors.
+func (p *Peer) settle(txID string, run *peerRun) {
+	<-run.Done()
+	v := run.Outcome()
+	if obs.ActiveAuditor() != nil {
 		p.mu.Lock()
-		stash := p.reports[txID]
-		delete(p.reports, txID)
 		closed := p.closed
 		p.mu.Unlock()
-		for _, r := range stash {
-			p.crossCheck(txID, r.from, r.v, v)
-		}
-		if !closed {
-			for q := 1; q <= p.n; q++ {
-				if core.ProcessID(q) != p.id {
-					_ = p.tcp.Send(live.Envelope{TxID: txID, From: p.id, To: core.ProcessID(q), Path: decidePath, Msg: decideMsg{V: v}})
-				}
-			}
-		}
-		if v == core.Commit {
-			p.res.Commit(txID)
-		} else {
-			p.res.Abort(txID)
-		}
-		time.AfterFunc(retireGraceUnits*p.opts.Timeout, func() {
-			inst.Close()
-			p.retire(txID, v)
-		})
-	}()
-	return inst
-}
-
-// observeDecision handles a peer's decision announcement for txID: compare
-// it against ours if we have one (live or cached), else stash it until ours
-// lands. A disagreement is reported through the anomaly hook with the full
-// flight-recorder timeline — the TCP analogue of Cluster.finish's
-// agreement check.
-func (p *Peer) observeDecision(from core.ProcessID, txID string, theirs core.Value) {
-	// Feed the remote decision to the auditor: announcements are how one
-	// process's auditor learns the rest of the decision vector. Decide is
-	// idempotent for repeated equal values, so re-announcements are free.
-	if a := obs.ActiveAuditor(); a != nil {
-		a.Decide(txID, from, theirs, "")
-	}
-	p.mu.Lock()
-	ours, known := p.decided[txID]
-	if !known {
-		if inst, ok := p.instances[txID]; ok {
-			select {
-			case <-inst.Done():
-				ours, known = inst.Outcome(), true
-			default:
+		for q := 1; q <= p.n && !closed; q++ {
+			if core.ProcessID(q) != p.id {
+				_ = p.tr.Send(live.Envelope{TxID: txID, From: p.id, To: core.ProcessID(q), Path: decidePath, Msg: decideMsg{V: v}})
 			}
 		}
 	}
-	if !known {
-		if _, ok := p.reports[txID]; !ok {
-			p.reportOrder = append(p.reportOrder, txID)
-			if len(p.reportOrder) > retiredHistory {
-				delete(p.reports, p.reportOrder[0])
-				p.reportOrder = p.reportOrder[1:]
-			}
-		}
-		p.reports[txID] = append(p.reports[txID], peerReport{from: from, v: theirs})
-		p.mu.Unlock()
-		return
+	if v == core.Commit {
+		p.res.Commit(txID)
+	} else {
+		p.res.Abort(txID)
 	}
-	p.mu.Unlock()
-	p.crossCheck(txID, from, theirs, ours)
-}
-
-// crossCheck reports a decision disagreement between this peer and from.
-func (p *Peer) crossCheck(txID string, from core.ProcessID, theirs, ours core.Value) {
-	if theirs == ours {
-		return
-	}
-	obs.ReportAnomaly("peer-decision-mismatch", txID,
-		fmt.Sprintf("%v decided %s but %v decided %s", p.id, ours, from, theirs))
+	close(run.settled)
+	time.AfterFunc(retireGraceUnits*p.opts.Timeout, func() {
+		run.Close()
+		p.retire(txID, v)
+	})
 }
 
 // ServeDebug starts the observability HTTP endpoint (expvar under
@@ -743,8 +701,9 @@ func (p *Peer) ServeDebug(addr string) (string, error) {
 }
 
 // Commit initiates transaction txID from this peer and blocks until the
-// LOCAL decision (other peers decide on their own and fire their callbacks).
-// It returns true iff the transaction committed.
+// LOCAL decision has been applied to this peer's Resource (other peers
+// decide on their own and fire their callbacks). It returns true iff the
+// transaction committed.
 func (p *Peer) Commit(ctx context.Context, txID string) (bool, error) {
 	if txID == "" {
 		return false, fmt.Errorf("commit: txID required")
@@ -752,15 +711,15 @@ func (p *Peer) Commit(ctx context.Context, txID string) (bool, error) {
 	// Announce the transaction so every peer starts (roughly) together.
 	for q := 1; q <= p.n; q++ {
 		if core.ProcessID(q) != p.id {
-			_ = p.tcp.Send(live.Envelope{TxID: txID, From: p.id, To: core.ProcessID(q), Path: beginPath, Msg: beginMsg{}})
+			_ = p.tr.Send(live.Envelope{TxID: txID, From: p.id, To: core.ProcessID(q), Path: beginPath, Msg: beginMsg{}})
 		}
 	}
 	return p.await(ctx, txID)
 }
 
 // Wait blocks until this peer's instance for txID (started by any peer)
-// decides. A transaction that already decided and retired answers from the
-// outcome cache.
+// decides and the outcome reached its Resource. A transaction that already
+// decided and retired answers from the outcome cache.
 func (p *Peer) Wait(ctx context.Context, txID string) (bool, error) {
 	return p.await(ctx, txID)
 }
@@ -768,19 +727,26 @@ func (p *Peer) Wait(ctx context.Context, txID string) (bool, error) {
 // await resolves txID's outcome: from the live instance if one exists (or
 // can be started), else from the retired-outcome cache.
 func (p *Peer) await(ctx context.Context, txID string) (bool, error) {
-	inst := p.ensureInstance(txID)
-	if inst == nil {
+	run := p.ensureInstance(txID)
+	if run == nil {
 		p.mu.Lock()
-		v, ok := p.decided[txID]
+		v, ok := p.decided.get(txID)
 		p.mu.Unlock()
 		if ok {
 			return v == core.Commit, nil
 		}
 		return false, fmt.Errorf("commit: peer closed")
 	}
-	v, err := inst.Wait(ctx)
+	v, err := run.Wait(ctx)
 	if err != nil {
 		return false, err
+	}
+	// Answer only once the outcome is applied here: a client told
+	// "committed" must find the coordinator's own writes.
+	select {
+	case <-run.settled:
+	case <-ctx.Done():
+		return false, fmt.Errorf("commit: apply %s at %v: %w", txID, p.id, ctx.Err())
 	}
 	return v == core.Commit, nil
 }
@@ -793,15 +759,15 @@ func (p *Peer) Close() {
 		return
 	}
 	p.closed = true
-	insts := p.instances
-	p.instances = make(map[string]*live.Instance)
+	runs := p.instances
+	p.instances = make(map[string]*peerRun)
 	debug := p.debug
 	p.mu.Unlock()
 	if debug != nil {
 		debug.Close()
 	}
-	for _, inst := range insts {
-		inst.Close()
+	for _, run := range runs {
+		run.Close()
 	}
-	p.tcp.Close()
+	p.tr.Close()
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"atomiccommit/internal/core"
+	"atomiccommit/internal/live"
 	"atomiccommit/internal/obs"
 )
 
@@ -45,20 +46,55 @@ func startPeers(t *testing.T, n int, opts Options) []*Peer {
 	return peers
 }
 
-// TestPeerDecisionCrossCheck exercises the TCP runtime's decision
-// cross-checking (the Peer analogue of Cluster.finish's agreement check):
-// agreeing peers stay silent, and a diverging decision — injected, since
-// the protocols agree in healthy runs — is reported through the anomaly
-// hook with the transaction's timeline.
-func TestPeerDecisionCrossCheck(t *testing.T) {
+// auditDumps installs a fresh auditor and an anomaly hook for the test and
+// returns a snapshot function of the anomaly dumps so far.
+func auditDumps(t *testing.T) (*obs.Auditor, func() []obs.Anomaly) {
+	t.Helper()
 	var mu sync.Mutex
-	var kinds []string
+	var got []obs.Anomaly
 	obs.SetAnomalyHook(func(d obs.Dump) {
 		mu.Lock()
-		kinds = append(kinds, d.Anomaly.Kind)
+		got = append(got, d.Anomaly)
 		mu.Unlock()
 	})
-	defer obs.SetAnomalyHook(nil)
+	aud := obs.NewAuditor(obs.AuditorConfig{})
+	obs.SetAuditor(aud)
+	t.Cleanup(func() {
+		obs.SetAuditor(nil)
+		obs.SetAnomalyHook(nil)
+	})
+	return aud, func() []obs.Anomaly {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]obs.Anomaly(nil), got...)
+	}
+}
+
+// waitAnomaly polls until an anomaly of kind for txID was reported.
+func waitAnomaly(t *testing.T, dumps func() []obs.Anomaly, kind, txID string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, a := range dumps() {
+			if a.Kind == kind && a.TxID == txID {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s anomaly for %s; got %v", kind, txID, dumps())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPeerDecisionCrossCheck exercises the TCP runtime's decision
+// cross-check, which is the live auditor's: under audit, peers announce
+// their decisions to each other's auditors; agreeing peers stay silent,
+// and a diverging announcement — injected, since the protocols agree in
+// healthy runs — arriving after the local decision is flagged through the
+// anomaly hook with the transaction's timeline.
+func TestPeerDecisionCrossCheck(t *testing.T) {
+	aud, dumps := auditDumps(t)
 
 	peers := startPeers(t, 3, Options{Protocol: "inbac", F: 1, Timeout: 50 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -73,48 +109,41 @@ func TestPeerDecisionCrossCheck(t *testing.T) {
 			t.Fatalf("peer wait: ok=%v err=%v", ok, err)
 		}
 	}
-	// Every peer broadcast its decision; give the announcements a moment to
-	// cross the sockets, then check nobody saw a mismatch.
+	// Every peer announced its decision; give the announcements a moment
+	// to cross the sockets, then check nobody saw a violation.
 	time.Sleep(300 * time.Millisecond)
-	mu.Lock()
-	if len(kinds) != 0 {
-		t.Fatalf("agreeing peers reported anomalies: %v", kinds)
+	if got := dumps(); len(got) != 0 {
+		t.Fatalf("agreeing peers reported anomalies: %v", got)
 	}
-	mu.Unlock()
+	if v := aud.Violations(); len(v) != 0 {
+		t.Fatalf("agreeing peers tripped the auditor: %v", v)
+	}
 
-	// Inject a diverging announcement: peer 1 claims it decided abort for a
-	// transaction everyone committed. The cross-check must fire.
-	before := obs.M.CounterValue("obs.anomalies.peer-decision-mismatch")
-	peers[0].observeDecision(core.ProcessID(2), "xcheck-1", core.Abort)
-	if got := obs.M.CounterValue("obs.anomalies.peer-decision-mismatch"); got != before+1 {
-		t.Fatalf("mismatch counter = %d, want %d", got, before+1)
+	// Inject a diverging announcement: peer 2 claims it decided abort for
+	// a transaction everyone committed. The auditor already holds peer 2's
+	// commit, so it flags the contradiction.
+	before := obs.M.CounterValue("obs.anomalies.audit-stability")
+	peers[0].deliver(live.Envelope{TxID: "xcheck-1", From: 2, To: 1, Path: decidePath, Msg: decideMsg{V: core.Abort}})
+	if got := obs.M.CounterValue("obs.anomalies.audit-stability"); got != before+1 {
+		t.Fatalf("stability counter = %d, want %d", got, before+1)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(kinds) != 1 || kinds[0] != "peer-decision-mismatch" {
-		t.Fatalf("anomaly kinds = %v, want [peer-decision-mismatch]", kinds)
+	if got := dumps(); len(got) != 1 || got[0].Kind != "audit-stability" || got[0].TxID != "xcheck-1" {
+		t.Fatalf("anomalies = %v, want one audit-stability for xcheck-1", got)
 	}
 }
 
 // TestPeerStashedDecisionCrossCheck covers the other ordering: the remote
-// decision arrives before the local one lands, is stashed, and is checked
-// when the local decision resolves.
+// announcement arrives before the local decision lands, and the auditor
+// flags the disagreement when the local decision is recorded.
 func TestPeerStashedDecisionCrossCheck(t *testing.T) {
-	var mu sync.Mutex
-	var kinds []string
-	obs.SetAnomalyHook(func(d obs.Dump) {
-		mu.Lock()
-		kinds = append(kinds, d.Anomaly.Kind)
-		mu.Unlock()
-	})
-	defer obs.SetAnomalyHook(nil)
+	aud, dumps := auditDumps(t)
 
 	peers := startPeers(t, 3, Options{Protocol: "inbac", F: 1, Timeout: 50 * time.Millisecond})
 
-	// Stash a bogus abort report for a transaction that has not started
-	// anywhere, then run it to commit: the stash must be drained and the
-	// divergence reported when the local decision lands.
-	peers[0].observeDecision(core.ProcessID(3), "xcheck-stash", core.Abort)
+	// Announce a bogus abort for a transaction that has not started
+	// anywhere, then run it to commit: the first local commit decision
+	// contradicts it.
+	peers[0].deliver(live.Envelope{TxID: "xcheck-stash", From: 3, To: 1, Path: decidePath, Msg: decideMsg{V: core.Abort}})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	ok, err := peers[0].Commit(ctx, "xcheck-stash")
@@ -122,20 +151,9 @@ func TestPeerStashedDecisionCrossCheck(t *testing.T) {
 		t.Fatalf("commit: ok=%v err=%v", ok, err)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(kinds)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(kinds) == 0 || kinds[0] != "peer-decision-mismatch" {
-		t.Fatalf("anomaly kinds = %v, want peer-decision-mismatch first", kinds)
+	waitAnomaly(t, dumps, "audit-agreement", "xcheck-stash")
+	if v := aud.Violations(); v["audit-agreement"] != 1 {
+		t.Fatalf("violations = %v, want one audit-agreement", v)
 	}
 }
 

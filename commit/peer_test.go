@@ -1,6 +1,7 @@
 package commit
 
 import (
+	"context"
 	"errors"
 	"net"
 	"strings"
@@ -120,5 +121,108 @@ func TestValidateAddrsMessages(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %s", err, want)
 		}
+	}
+}
+
+// TestPeerWaitDuringPrepare: a second caller reaching a transaction while
+// the first is still inside the resource's Prepare must wait on the same
+// instance, not report the peer closed: the instance is registered before
+// Prepare runs, so the second caller always finds it.
+func TestPeerWaitDuringPrepare(t *testing.T) {
+	t.Parallel()
+	addrs := reserveAddrs(t, 2)
+	opts := Options{Protocol: TwoPC, Timeout: 25 * time.Millisecond}
+	entered, gate := make(chan struct{}), make(chan struct{})
+	slow := ResourceFunc{PrepareFn: func(string) bool {
+		close(entered)
+		<-gate
+		return true
+	}}
+	p1, err := NewPeer(1, addrs, slow, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p1.Close()
+	p2, err := NewPeer(2, addrs, ResourceFunc{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+
+	type result struct {
+		ok  bool
+		err error
+	}
+	first := make(chan result, 1)
+	go func() {
+		ok, err := p1.Wait(ctx(t), "held")
+		first <- result{ok, err}
+	}()
+	<-entered
+
+	// The first Wait is inside Prepare: a second one must block on the
+	// instance until its own deadline.
+	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if ok, err := p1.Wait(short, "held"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("second Wait during Prepare: ok=%v err=%v, want a deadline error", ok, err)
+	}
+	second := make(chan result, 1)
+	go func() {
+		ok, err := p1.Wait(ctx(t), "held")
+		second <- result{ok, err}
+	}()
+
+	close(gate)
+	want, err := p2.Wait(ctx(t), "held")
+	if err != nil {
+		t.Fatalf("peer 2: %v", err)
+	}
+	for name, ch := range map[string]chan result{"first": first, "second": second} {
+		if r := <-ch; r.err != nil || r.ok != want {
+			t.Fatalf("%s Wait: ok=%v err=%v, peer 2 decided %v", name, r.ok, r.err, want)
+		}
+	}
+}
+
+// TestPeerCommitAnswersAfterApply: Commit returns only once this peer's
+// resource has applied the outcome, so a client told "committed" by its
+// coordinator finds the coordinator's writes.
+func TestPeerCommitAnswersAfterApply(t *testing.T) {
+	t.Parallel()
+	addrs := reserveAddrs(t, 2)
+	opts := Options{Protocol: TwoPC, Timeout: 25 * time.Millisecond}
+	applying, gate := make(chan struct{}), make(chan struct{})
+	apply := func(string) {
+		close(applying)
+		<-gate
+	}
+	slow := ResourceFunc{CommitFn: apply, AbortFn: apply}
+	p1, err := NewPeer(1, addrs, slow, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p1.Close()
+	p2, err := NewPeer(2, addrs, ResourceFunc{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := p1.Commit(ctx(t), "applied")
+		done <- err
+	}()
+	<-applying
+	// The decision is in and the apply is stuck: Commit must still wait.
+	select {
+	case err := <-done:
+		t.Fatalf("Commit returned before the resource applied the outcome (err=%v)", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatalf("Commit: %v", err)
 	}
 }

@@ -77,7 +77,7 @@ func ResolvedTxn(txID string, committed bool) *Txn {
 // Submit enqueues one transaction on the commit pipeline and returns a
 // future immediately. The pipeline's dispatcher runs up to
 // Options.MaxInFlight transactions concurrently, each a full protocol
-// instance with its own per-member state (instances are routed by TxID);
+// instance with its own per-peer state (instances are routed by TxID);
 // submissions beyond the window queue in order.
 //
 // ctx bounds the transaction itself: if it expires while the transaction is

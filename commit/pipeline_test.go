@@ -147,7 +147,7 @@ func TestSubmitQueuedContextExpiry(t *testing.T) {
 
 // TestStragglerEnvelopeDropped exercises the late-envelope fix: after a
 // transaction retires, a straggler message for its txID must be dropped,
-// not re-buffered into the pending map (where it would leak forever).
+// not resurrect an instance (which would Prepare again and leak forever).
 func TestStragglerEnvelopeDropped(t *testing.T) {
 	t.Parallel()
 	rs, _ := resources(true, true, true)
@@ -160,36 +160,36 @@ func TestStragglerEnvelopeDropped(t *testing.T) {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 
-	m := cl.members[0]
-	m.deliver(live.Envelope{TxID: "done-tx", From: 2, To: 1, Msg: straggler{}})
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if got := len(m.pending["done-tx"]); got != 0 {
-		t.Fatalf("straggler for a retired txID leaked into pending (%d buffered)", got)
+	p := cl.peers[0]
+	p.deliver(live.Envelope{TxID: "done-tx", From: 2, To: 1, Msg: straggler{}})
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, ok := p.instances["done-tx"]; ok {
+		t.Fatal("straggler for a retired txID resurrected its instance")
 	}
-	if !m.decided.has("done-tx") {
+	if !p.decided.has("done-tx") {
 		t.Fatal("retired txID must be remembered in the decided set")
 	}
-	if len(m.instances) != 0 {
-		t.Fatalf("instances must be retired, %d left", len(m.instances))
+	if len(p.instances) != 0 {
+		t.Fatalf("instances must be retired, %d left", len(p.instances))
 	}
 }
 
 // TestRetiredHistoryEviction checks the decided set stays bounded.
 func TestRetiredHistoryEviction(t *testing.T) {
 	t.Parallel()
-	m := &member{
-		instances: make(map[string]*live.Instance),
-		pending:   make(map[string][]live.Envelope),
+	p := &Peer{
+		instances: make(map[string]*peerRun),
 		decided:   newBoundedSet(),
+		staged:    make(map[string]struct{}),
 	}
 	for i := 0; i < retiredHistory+10; i++ {
-		m.retire(fmt.Sprintf("tx-%d", i))
+		p.retire(fmt.Sprintf("tx-%d", i), core.Commit)
 	}
-	if len(m.decided.m) != retiredHistory || len(m.decided.order) != retiredHistory {
-		t.Fatalf("decided set must cap at %d, got %d/%d", retiredHistory, len(m.decided.m), len(m.decided.order))
+	if len(p.decided.m) != retiredHistory || len(p.decided.order) != retiredHistory {
+		t.Fatalf("decided set must cap at %d, got %d/%d", retiredHistory, len(p.decided.m), len(p.decided.order))
 	}
-	if m.decided.has("tx-0") {
+	if p.decided.has("tx-0") {
 		t.Fatal("oldest txID must be evicted")
 	}
 }
@@ -321,8 +321,8 @@ func TestPeerRetiresDecidedInstances(t *testing.T) {
 	for _, p := range peers {
 		for {
 			p.mu.Lock()
-			gone := len(p.instances) == 0 && len(p.pending) == 0 && len(p.started) == 0
-			_, cached := p.decided["retire-tx"]
+			gone := len(p.instances) == 0
+			cached := p.decided.has("retire-tx")
 			p.mu.Unlock()
 			if gone && cached {
 				break
@@ -348,11 +348,12 @@ func TestPeerRetiresDecidedInstances(t *testing.T) {
 		}
 	}
 
-	// A straggler for the retired transaction is dropped, not buffered.
+	// A straggler for the retired transaction is dropped, not handed to a
+	// resurrected instance.
 	peers[0].deliver(live.Envelope{TxID: "retire-tx", From: 2, To: 1, Msg: straggler{}})
 	peers[0].mu.Lock()
 	defer peers[0].mu.Unlock()
-	if got := len(peers[0].pending["retire-tx"]); got != 0 {
-		t.Fatalf("straggler leaked into pending (%d buffered)", got)
+	if got := len(peers[0].instances); got != 0 {
+		t.Fatalf("straggler resurrected %d instance(s)", got)
 	}
 }

@@ -10,9 +10,13 @@
 // -throughput mode. The kv subpackage is a sharded transactional key-value
 // store driven by that pipeline: every shard votes on conflicts, so abort
 // behavior becomes a real, workload-induced measurement (commitbench -kv).
-// Both runtimes (in-memory mesh and TCP) speak a hand-rolled binary wire
-// codec with cross-instance frame packing and a pooled, allocation-free
-// send path — see DESIGN.md's "Wire format" section.
+// There is one participant runtime, commit.Peer: a Cluster is n peers on
+// the in-memory mesh, a TCP deployment one peer per address space. Both
+// transports speak a hand-rolled binary wire codec with
+// cross-instance frame packing and a pooled, allocation-free send path —
+// see DESIGN.md's "Wire format" section. Observability spends no protocol
+// messages: peers announce decisions to each other only while the live
+// NBAC auditor is installed.
 // See README.md for a tour and DESIGN.md for the system inventory and the
 // paper-vs-measured conventions behind every table and figure. The
 // benchmarks in bench_test.go regenerate the paper's evaluation

@@ -72,6 +72,7 @@ type Instance struct {
 	mu         sync.Mutex
 	started    time.Time
 	running    bool
+	vote       core.Value
 	pending    []Envelope // deliveries that arrived before Start
 	modules    map[string]core.Module
 	timers     []*time.Timer
@@ -117,6 +118,7 @@ func (inst *Instance) Start(vote core.Value) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	inst.started = time.Now()
+	inst.vote = vote
 	if obs.Default.Enabled() {
 		obs.Default.Record(obs.Event{
 			Kind: obs.EvVote, TxID: inst.txID, Proc: inst.id,
@@ -166,6 +168,14 @@ func (inst *Instance) Done() <-chan struct{} { return inst.done }
 
 // Outcome returns the decision; valid only after Done is closed.
 func (inst *Instance) Outcome() core.Value { return inst.outcome }
+
+// Vote returns the vote the instance was started with; valid once Done is
+// closed (a decision implies Start).
+func (inst *Instance) Vote() core.Value {
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	return inst.vote
+}
 
 // DecidePath returns the instance's last "decide-path" annotation (see
 // core.Annotate): which branch of its protocol's decision state machine

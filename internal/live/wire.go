@@ -17,7 +17,8 @@ import (
 // information on the wire, so IDs are allocated in per-package blocks and
 // never renumbered:
 //
-//	 1..7    commit (beginMsg, decideMsg, hello/stage/go/result/unstage)
+//	 1..7    commit (beginMsg; decideMsg, sent only under audit;
+//	         hello/stage/go/result/unstage)
 //	 8..14   internal/consensus (incl. flooding)
 //	16..20   protocols/inbac
 //	24..26   protocols/twopc
